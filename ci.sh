@@ -114,7 +114,7 @@ stage_test() {
 }
 
 stage_golden() {
-    echo "==> golden sweep regression (byte-identical CSV, fallback rates)"
+    echo "==> golden sweep regression (byte-identical CSV, ILP-PTAC ladder rungs)"
     cargo test -q --offline -p contention-bench --test golden_sweep
 
     SMOKE_DIR="$(mktemp -d)"
@@ -156,14 +156,14 @@ stage_golden() {
 
     echo "==> telemetry determinism gate (schema lint, cross-jobs/engine/memo det identity)"
     # The Scenario 1 sweep with a recorder attached: every record must
-    # pass the schema lint, and — because sc1's default solve budget
-    # never falls back (asserted by golden_sweep) — the run must prove
+    # pass the schema lint, and — because sc1 closes every ILP exactly
+    # at the default budget (asserted by golden_sweep) — the run must prove
     # itself warning-free (--deny-warn). The deterministic subset must
     # be byte-identical across worker counts, timing kernels and the
     # memo toggle (memo statistics live in the nondeterministic profile
-    # records), and the Chrome export must be a valid trace. (sc2
-    # legitimately emits an ilp.fallback warning at the default budget,
-    # so it is not used here.)
+    # records), and the Chrome export must be a valid trace. (sc2 emits
+    # an ilp.fallback warning at the default budget, because 10 of its
+    # 11 bounds settle on the LP relaxation, so it is not used here.)
     LINT=target/release/telemetry_lint
     cargo build --release --offline -p contention-bench --bin telemetry_lint
     "$SWEEP" --scenario sc1 --jobs 1 --engine event --telemetry "$SMOKE_DIR/t1.jsonl" \
@@ -210,16 +210,16 @@ stage_serve() {
     cargo build --release --offline -p contention-serve
     cargo build --release --offline -p contention-bench --bin telemetry_lint
 
-    # A mixed batch: Δcont bounds across scenarios, a budget-1 request
-    # that must degrade to the fTC fallback (and say so), a soundness
-    # sweep and an RTA query, interleaved across two tenants.
+    # A mixed batch: Δcont bounds across scenarios, a budget-1 Scenario 2
+    # request that must settle on the LP relaxation (and say so), a
+    # soundness sweep and an RTA query, interleaved across two tenants.
     cat > "$SMOKE_DIR/batch.jsonl" <<'EOF'
 {"id": "q1", "tenant": "alpha", "kind": "bound", "scenario": "sc1", "level": "high"}
 {"id": "q2", "tenant": "beta", "kind": "bound", "scenario": "low", "level": "medium"}
 {"id": "q3", "tenant": "alpha", "kind": "bound", "scenario": "low", "level": "high", "budget": 1}
 {"id": "q4", "tenant": "beta", "kind": "sweep", "scenario": "low", "level": "low"}
 {"id": "q5", "tenant": "alpha", "kind": "rta", "scenario": "low", "level": "medium", "period": 50000000}
-{"id": "q6", "tenant": "beta", "kind": "bound", "scenario": "sc2", "level": "low"}
+{"id": "q6", "tenant": "beta", "kind": "bound", "scenario": "sc2", "level": "low", "budget": 1}
 EOF
     echo '{"id": "bye", "tenant": "ops", "kind": "shutdown"}' > "$SMOKE_DIR/shutdown.jsonl"
 
@@ -266,8 +266,8 @@ EOF
     wait "$SERVE_PID"
     diff -u "$SMOKE_DIR/a.jsonl" "$SMOKE_DIR/b.jsonl" \
         || { echo "replayed responses diverged from the uninterrupted run"; exit 1; }
-    grep -q '"provenance":"fallback=ftc"' "$SMOKE_DIR/b.jsonl" \
-        || { echo "budget-1 request did not degrade with explicit provenance"; exit 1; }
+    grep '"id":"q6"' "$SMOKE_DIR/b.jsonl" | grep -q '"provenance":"lp-relax"' \
+        || { echo "budget-1 sc2 request did not degrade with explicit provenance"; exit 1; }
     grep -q '"provenance":"ilp"' "$SMOKE_DIR/b.jsonl" \
         || { echo "no exact-ILP answer in the batch"; exit 1; }
 

@@ -11,16 +11,17 @@
 //! ```
 //!
 //! `--ilp-budget N` caps the branch-and-bound node budget of every
-//! ILP-PTAC variant (a budget exhaustion shows up as an error cell, not
-//! an abort); `--journal`/`--resume` run the profile measurements as a
-//! crash-safe campaign. Every variant row asks for the same three
+//! ILP-PTAC variant; a cell settled below the exact ILP (LP relaxation
+//! on a blown budget, fTC on an infeasible formulation) carries its
+//! ladder tag next to the ratio. `--journal`/`--resume` run the profile
+//! measurements as a crash-safe campaign. Every variant row asks for the same three
 //! contender profiles, so all but the first pass are served from the
 //! engine's memo cache — the emitted `BENCH_engine.json` shows the hit
 //! rate.
 
 use contention::{
-    ContentionModel, FsbModel, FtcModel, IlpPtacModel, IlpPtacOptions, Platform,
-    ScenarioConstraints,
+    BoundSource, ContentionModel, FsbModel, FtcModel, IlpPtacModel, IlpPtacOptions, Platform,
+    ScenarioConstraints, WcetEstimate,
 };
 use contention_bench::{campaign_from_args, report_campaign, write_engine_report, CommonArgs};
 use mbta::report::Table;
@@ -86,10 +87,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for level in LoadLevel::all() {
             let load_spec = contender(scenario, level, CoreId(2), 7);
             let load = runner.isolation(&load_spec, CoreId(2))?;
-            match model.wcet_estimate(&app, &[&load]) {
-                Ok(est) => row.push(format!("{:.2}x", est.ratio())),
-                Err(e) => row.push(format!("error: {e}")),
-            }
+            let sol = model.solve_detailed(&app, &load)?;
+            let est = WcetEstimate {
+                isolation_cycles: app.counters().ccnt,
+                contention_cycles: sol.bound.delta_cycles,
+            };
+            row.push(match sol.source {
+                BoundSource::Ilp => format!("{:.2}x", est.ratio()),
+                rung => format!("{:.2}x [{rung}]", est.ratio()),
+            });
         }
         t.row(row);
     }

@@ -12,16 +12,16 @@
 //! scratchpad-dominant application whose contention bounds drop to the
 //! ~10% range the paper reports for real automotive use cases.
 //! `--jobs N` sizes the experiment engine (default: all cores); each
-//! panel's seven simulations run as one batch. Each panel also reports
-//! the fault-tolerant evaluator's fTC fallback rate on stderr;
-//! `--ilp-budget N` caps the ILP node budget for that report.
-//! `--journal <file>` / `--resume <file>` run the panels as a
-//! crash-safe campaign (see `contention_bench::campaign_from_args`).
+//! panel's seven simulations run as one batch. Each panel also names on
+//! stderr how many of its ILP-PTAC bounds each rung of the ladder
+//! settled (exact ILP, LP relaxation, fTC fallback), taken from the
+//! solves that produced the printed cells. `--journal <file>` /
+//! `--resume <file>` run the panels as a crash-safe campaign (see
+//! `contention_bench::campaign_from_args`).
 
 use contention::Platform;
 use contention_bench::{
-    campaign_from_args, fig4_cell, panel_fallback_report, report_campaign, write_engine_report,
-    CommonArgs,
+    campaign_from_args, fig4_cell, report_campaign, report_solves, write_engine_report, CommonArgs,
 };
 use mbta::report::{ratio, Table};
 use mbta::BatchRunner;
@@ -31,7 +31,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
     let low_traffic = args.iter().any(|a| a == "--low-traffic");
     let common = CommonArgs::parse(&args)?;
-    let budget = common.ilp_budget;
     let telemetry = common.recorder("figure4");
     if let Some(t) = &telemetry {
         t.meta(
@@ -68,10 +67,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for (scenario, label) in scenarios {
         let panel = mbta::figure4_panel_with(runner, *scenario, &platform, 42)?;
-        eprintln!(
-            "{label}: {}",
-            panel_fallback_report(runner, *scenario, 42, budget, telemetry.as_deref())?
-        );
+        let solves: Vec<_> = panel
+            .cells
+            .iter()
+            .map(|c| {
+                (
+                    format!("solve:{}-{scenario}", c.level),
+                    c.ilp_source,
+                    c.ilp_nodes,
+                )
+            })
+            .collect();
+        eprintln!("{label}: {}", report_solves(&solves, telemetry.as_deref()));
         println!(
             "{label}  —  isolation CCNT = {} cycles",
             panel.app.counters().ccnt

@@ -9,7 +9,7 @@
 //! output (see `contention_bench::sweep_csv`).
 //!
 //! ```text
-//! cargo run -p contention-bench --bin sweep [-- --scenario sc1|sc2|low] [--platform NAME] [--jobs N] [--ilp-budget N] > sweep.csv
+//! cargo run -p contention-bench --bin sweep [-- --scenario sc1|sc2|low] [--platform NAME] [--jobs N] > sweep.csv
 //! cargo run -p contention-bench --bin sweep -- --journal sweep.journal > sweep.csv
 //! cargo run -p contention-bench --bin sweep -- --resume sweep.journal > sweep.csv
 //! ```
@@ -22,21 +22,20 @@
 //! With `--journal <file>` every completed simulation is appended to a
 //! crash-safe journal; after an interruption, `--resume <file>` replays
 //! the completed jobs and re-executes only the missing ones — the CSV
-//! is byte-identical to an uninterrupted run at any `--jobs N`. Under a
-//! campaign the sweep also degrades gracefully: a row whose simulation
-//! stays unrecovered is skipped (and named on stderr) instead of
-//! aborting the whole sweep.
+//! is byte-identical to an uninterrupted run at any `--jobs N`. The
+//! sweep degrades gracefully: a row whose simulation fails is skipped
+//! (and named on stderr) instead of aborting the whole sweep.
 //!
-//! After the CSV, the fault-tolerant evaluator re-runs every pair
-//! (profiles come from the memo cache) and reports its fTC fallback
-//! rate on stderr; `--ilp-budget N` caps the ILP node budget for that
-//! report. The CSV itself always uses the exact models, so stdout stays
-//! byte-identical regardless of the budget.
+//! Each `ilp_ratio` comes from one pass through the ILP-PTAC ladder
+//! (exact ILP, LP relaxation on a blown node budget, fTC if infeasible);
+//! stderr names how many rows each rung settled, and `--telemetry`
+//! records every solve with its tag.
 
 use contention_bench::{
-    campaign_from_args, report_campaign, sweep_csv, sweep_csv_partial, sweep_fallback_report,
-    write_engine_report, CommonArgs,
+    campaign_from_args, report_campaign, report_solves, sweep_csv_partial, write_engine_report,
+    CommonArgs,
 };
+use mbta::BatchRunner;
 use tc27x_sim::DeploymentScenario;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -56,35 +55,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let engine = common.engine_with(telemetry.as_ref());
     let campaign = campaign_from_args(&engine, &common, telemetry.as_deref())?;
+    let runner: &dyn BatchRunner = match campaign.as_ref() {
+        Some(c) => c,
+        None => &engine,
+    };
 
-    let mut sweep_complete = true;
-    match campaign.as_ref() {
-        // Under a campaign, degrade gracefully: keep every computable
-        // row and name the skipped ones instead of aborting.
-        Some(runner) => {
-            let partial = sweep_csv_partial(runner, scenario)?;
-            print!("{}", partial.csv);
-            if !partial.is_complete() {
-                sweep_complete = false;
-                eprintln!(
-                    "sweep: {} row(s) skipped (intensities {:?} permille) — resume to recover",
-                    partial.skipped.len(),
-                    partial.skipped
-                );
-            }
-            eprintln!(
-                "{}",
-                sweep_fallback_report(runner, scenario, common.ilp_budget, telemetry.as_deref())?
-            );
-        }
-        None => {
-            print!("{}", sweep_csv(&engine, scenario)?);
-            eprintln!(
-                "{}",
-                sweep_fallback_report(&engine, scenario, common.ilp_budget, telemetry.as_deref())?
-            );
-        }
+    let partial = sweep_csv_partial(runner, scenario)?;
+    print!("{}", partial.csv);
+    if !partial.is_complete() {
+        eprintln!(
+            "sweep: {} row(s) skipped (intensities {:?} permille) — resume to recover",
+            partial.skipped.len(),
+            partial.skipped
+        );
     }
+    eprintln!("{}", report_solves(&partial.solves, telemetry.as_deref()));
 
     let campaign_complete = report_campaign(campaign.as_ref(), telemetry.as_deref());
     write_engine_report(&engine, &common.envelope(&args[1..]));
@@ -92,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         eprint!("{}", mbta::report::reproducibility_footer(t));
     }
     common.flush_telemetry(telemetry.as_ref())?;
-    if !(sweep_complete && campaign_complete) {
+    if !(partial.is_complete() && campaign_complete) {
         std::process::exit(2);
     }
     Ok(())

@@ -260,7 +260,7 @@ mod tests {
     #[test]
     fn real_streams_pass_the_lint() {
         let t = mbta::Telemetry::new("lint-self-test");
-        t.record_solve("solve:a", 10, false);
+        t.record_solve("solve:a", 10, contention::BoundSource::LpRelax);
         // A job with attribution stats, so the stream carries matrix
         // records through the lint.
         let mut stats = tc27x_sim::SimStats::default();

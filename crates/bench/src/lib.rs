@@ -20,8 +20,8 @@
 pub mod harness;
 
 use contention::{
-    ContentionModel, EvalOptions, Evaluator, FsbModel, FtcModel, IdealModel, IlpPtacModel,
-    Platform, WcetEstimate,
+    BoundSource, ContentionModel, FsbModel, FtcModel, IdealModel, IlpPtacModel, Platform,
+    WcetEstimate,
 };
 use mbta::{BatchRunner, CampaignConfig, CampaignRunner, ExecEngine, SimJob, Telemetry};
 use std::path::PathBuf;
@@ -29,7 +29,6 @@ use std::sync::Arc;
 use tc27x_sim::{
     CoreId, DataObject, DeploymentScenario, Engine, Pattern, Placement, Program, Region, TaskSpec,
 };
-use workloads::LoadLevel;
 
 /// Formats paper-vs-measured cells for table output.
 pub fn paper_vs(measured: impl std::fmt::Display, paper: impl std::fmt::Display) -> String {
@@ -214,6 +213,8 @@ pub struct PartialSweep {
     pub skipped_indices: Vec<usize>,
     /// The lowest-indexed job failure among the skipped rows.
     pub first_failure: Option<mbta::JobFailure>,
+    /// The ILP-PTAC solve behind each row's `ilp_ratio`, in row order.
+    pub solves: Vec<Solve>,
 }
 
 impl PartialSweep {
@@ -261,6 +262,7 @@ pub fn sweep_csv_partial<R: BatchRunner + ?Sized>(
     let mut skipped = Vec::new();
     let mut skipped_indices = Vec::new();
     let mut first_failure = None;
+    let mut solves = Vec::new();
     let iso = app.counters().ccnt as f64;
     for (pos, intensity) in intensities.into_iter().enumerate() {
         let row = (next(1 + 2 * pos), next(2 + 2 * pos));
@@ -279,10 +281,20 @@ pub fn sweep_csv_partial<R: BatchRunner + ?Sized>(
                 continue;
             }
         };
+        let sol = ilp.solve_detailed(&app, &load)?;
+        let ilp_estimate = WcetEstimate {
+            isolation_cycles: app.counters().ccnt,
+            contention_cycles: sol.bound.delta_cycles,
+        };
+        solves.push((
+            format!("solve:sweep-load-{intensity}"),
+            sol.source,
+            sol.nodes_explored,
+        ));
         csv.push_str(&format!(
             "{intensity},{:.4},{:.4},{:.4},{:.4},{:.4}\n",
             ftc.wcet_estimate(&app, &[&load])?.ratio(),
-            ilp.wcet_estimate(&app, &[&load])?.ratio(),
+            ilp_estimate.ratio(),
             ideal.wcet_estimate(&app, &[&load])?.ratio(),
             fsb.wcet_estimate(&app, &[&load])?.ratio(),
             observed as f64 / iso,
@@ -293,152 +305,37 @@ pub fn sweep_csv_partial<R: BatchRunner + ?Sized>(
         skipped,
         skipped_indices,
         first_failure,
+        solves,
     })
 }
 
-/// How often the fault-tolerant evaluator degraded to the fTC bound
-/// over a set of (app, contender) pairs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FallbackReport {
-    /// Pairs bounded by the exact ILP-PTAC solve.
-    pub ilp: usize,
-    /// Pairs that fell back to the contender-independent fTC bound.
-    pub ftc: usize,
-}
+/// One ILP-PTAC solve behind a printed number: a telemetry label, the
+/// ladder rung that settled the bound and the branch & bound nodes it
+/// explored.
+pub type Solve = (String, BoundSource, u64);
 
-impl FallbackReport {
-    /// Fraction of pairs that fell back, in `[0, 1]`.
-    pub fn rate(&self) -> f64 {
-        let total = self.ilp + self.ftc;
-        if total == 0 {
-            0.0
-        } else {
-            self.ftc as f64 / total as f64
-        }
-    }
-}
-
-impl std::fmt::Display for FallbackReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "fallback rate: {}/{} pairs degraded to fTC ({:.0}%)",
-            self.ftc,
-            self.ilp + self.ftc,
-            self.rate() * 100.0
-        )
-    }
-}
-
-/// Runs the fault-tolerant [`Evaluator`] over every (app, contender)
-/// pair of the intensity sweep and counts which model produced each
-/// bound. Isolation profiles come from the engine's memo cache, so
-/// calling this after [`sweep_csv`] re-runs no simulations.
-///
-/// With a `telemetry` recorder, every solve lands as a span plus node
-/// counters ([`Telemetry::record_solve`]); a non-zero fallback rate is
-/// additionally recorded on the `ilp.fallback` warning channel (quiet —
-/// the caller owns the stderr rendering of the report).
-///
-/// # Errors
-///
-/// Propagates engine and model errors.
-pub fn sweep_fallback_report<R: BatchRunner + ?Sized>(
-    engine: &R,
-    scenario: DeploymentScenario,
-    node_budget: Option<u64>,
-    telemetry: Option<&Telemetry>,
-) -> Result<FallbackReport, mbta::ExperimentError> {
-    let desc = engine.platform();
-    let platform = Platform::from_desc(desc);
-    let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
-    let app = engine.isolation(&workloads::control_loop(scenario, app_core, 42), app_core)?;
-
-    let mut options = EvalOptions::for_scenario(mbta::constraints_for(scenario));
-    if let Some(budget) = node_budget {
-        options.ilp.node_budget = budget;
-    }
-    let evaluator = Evaluator::new(&platform, options);
-
-    let mut report = FallbackReport::default();
-    for intensity in (0..=1_000).step_by(100) {
-        let spec = scaled_contender(load_core, intensity);
-        let label = format!("solve:{}", spec.name);
-        let load = engine.isolation(&spec, load_core)?;
-        let evaluated = evaluator.bound(&app, &load)?;
-        if let Some(t) = telemetry {
-            t.record_solve(
-                label,
-                evaluated.nodes_explored,
-                evaluated.source.is_fallback(),
-            );
-        }
-        if evaluated.source.is_fallback() {
-            report.ftc += 1;
-        } else {
-            report.ilp += 1;
-        }
-    }
+/// Records an artefact's ILP-PTAC solves on `telemetry` (one span per
+/// solve, in print order) and returns the stderr summary line, e.g.
+/// `ILP-PTAC bounds: 1 ilp, 10 lp-relax, 0 fallback=ftc`. When any bound
+/// settled below the exact ILP, the line also goes to the quiet
+/// `ilp.fallback` warning channel (the caller owns the stderr rendering).
+pub fn report_solves(solves: &[Solve], telemetry: Option<&Telemetry>) -> String {
+    let count = |rung| solves.iter().filter(|s| s.1 == rung).count();
+    let line = format!(
+        "ILP-PTAC bounds: {} ilp, {} lp-relax, {} fallback=ftc",
+        count(BoundSource::Ilp),
+        count(BoundSource::LpRelax),
+        count(BoundSource::Ftc)
+    );
     if let Some(t) = telemetry {
-        if report.ftc > 0 {
-            t.warn_quiet("ilp.fallback", report.to_string());
+        for (label, source, nodes) in solves {
+            t.record_solve(label.clone(), *nodes, *source);
+        }
+        if count(BoundSource::Ilp) < solves.len() {
+            t.warn_quiet("ilp.fallback", line.clone());
         }
     }
-    Ok(report)
-}
-
-/// [`sweep_fallback_report`] for one Figure 4 panel: the three
-/// contender levels of `scenario` against the control-loop app, using
-/// the same specs (and thus the same memoized profiles) as
-/// [`mbta::figure4_panel_with`].
-///
-/// # Errors
-///
-/// Propagates engine and model errors.
-pub fn panel_fallback_report<R: BatchRunner + ?Sized>(
-    engine: &R,
-    scenario: DeploymentScenario,
-    seed: u64,
-    node_budget: Option<u64>,
-    telemetry: Option<&Telemetry>,
-) -> Result<FallbackReport, mbta::ExperimentError> {
-    let desc = engine.platform();
-    let platform = Platform::from_desc(desc);
-    let (app_core, load_core) = (CoreId(desc.app_core as u8), CoreId(desc.load_core as u8));
-    let app = engine.isolation(&workloads::control_loop(scenario, app_core, seed), app_core)?;
-
-    let mut options = EvalOptions::for_scenario(mbta::constraints_for(scenario));
-    if let Some(budget) = node_budget {
-        options.ilp.node_budget = budget;
-    }
-    let evaluator = Evaluator::new(&platform, options);
-
-    let mut report = FallbackReport::default();
-    for level in LoadLevel::all() {
-        let spec =
-            workloads::contender(scenario, level, load_core, seed.wrapping_add(level as u64));
-        let label = format!("solve:{}", spec.name);
-        let load = engine.isolation(&spec, load_core)?;
-        let evaluated = evaluator.bound(&app, &load)?;
-        if let Some(t) = telemetry {
-            t.record_solve(
-                label,
-                evaluated.nodes_explored,
-                evaluated.source.is_fallback(),
-            );
-        }
-        if evaluated.source.is_fallback() {
-            report.ftc += 1;
-        } else {
-            report.ilp += 1;
-        }
-    }
-    if let Some(t) = telemetry {
-        if report.ftc > 0 {
-            t.warn_quiet("ilp.fallback", report.to_string());
-        }
-    }
-    Ok(report)
+    line
 }
 
 /// Parses an optional `--ilp-budget N` from a binary's argument vector.
@@ -516,8 +413,8 @@ pub struct CommonArgs {
     /// unmemoized runs are bit-identical; the switch exists for
     /// debugging and for CI's equivalence legs.
     pub block_memo: bool,
-    /// ILP node budget for the fault-tolerant evaluator
-    /// (`--ilp-budget N`).
+    /// ILP-PTAC node budget (`--ilp-budget N`). Only `ablation` reads
+    /// it; the sweep and Figure 4 publish default-budget bounds.
     pub ilp_budget: Option<u64>,
     /// Write a fresh campaign journal to this path (`--journal <file>`).
     pub journal: Option<PathBuf>,
@@ -826,14 +723,27 @@ mod tests {
     }
 
     #[test]
-    fn fallback_report_formats() {
-        let r = FallbackReport { ilp: 9, ftc: 3 };
-        assert!((r.rate() - 0.25).abs() < 1e-12);
+    fn report_solves_counts_rungs_and_warns_on_degraded_ones() {
+        let exact = vec![("solve:a".to_string(), BoundSource::Ilp, 1)];
+        let t = Telemetry::new("test");
         assert_eq!(
-            r.to_string(),
-            "fallback rate: 3/12 pairs degraded to fTC (25%)"
+            report_solves(&exact, Some(&t)),
+            "ILP-PTAC bounds: 1 ilp, 0 lp-relax, 0 fallback=ftc"
         );
-        assert_eq!(FallbackReport::default().rate(), 0.0);
+        assert_eq!(t.warning_count(), 0, "exact solves are not degraded");
+        let mixed = vec![
+            ("solve:a".to_string(), BoundSource::Ilp, 1),
+            ("solve:b".to_string(), BoundSource::LpRelax, 128),
+            ("solve:c".to_string(), BoundSource::Ftc, 0),
+        ];
+        assert_eq!(
+            report_solves(&mixed, Some(&t)),
+            "ILP-PTAC bounds: 1 ilp, 1 lp-relax, 1 fallback=ftc"
+        );
+        assert_eq!(t.det_counter("ilp.solves"), 4);
+        assert_eq!(t.det_counter("ilp.lp_relax"), 1);
+        assert_eq!(t.det_counter("ilp.fallback_ftc"), 1);
+        assert_eq!(t.warning_count(), 1);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! neither the validation pass, the budget plumbing nor the engine
 //! hardening changed a single emitted digit.
 
-use contention_bench::{sweep_csv, sweep_fallback_report};
+use contention::BoundSource;
+use contention_bench::{report_solves, sweep_csv, sweep_csv_partial};
 use mbta::{CampaignConfig, CampaignRunner, ExecEngine};
 use tc27x_sim::DeploymentScenario;
 
@@ -95,34 +96,38 @@ fn journaled_and_resumed_sweeps_match_the_golden_capture() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Every `ilp_ratio` row carries the ladder rung of the one solve that
+/// produced it: Scenario 1 closes every pair exactly, Scenario 2 closes
+/// only the idle contender and settles the rest on the LP relaxation.
+/// With a recorder attached, the same single pass lands in telemetry.
 #[test]
-fn default_budget_never_falls_back_budget_one_always_does() {
+fn sweep_rows_carry_the_rung_of_their_single_solve() {
     let engine = ExecEngine::new(2);
-    // Warm the memo cache so both reports replay cached profiles.
-    sweep_csv(&engine, DeploymentScenario::Scenario1).unwrap();
-
-    let exact = sweep_fallback_report(&engine, DeploymentScenario::Scenario1, None, None).unwrap();
-    assert_eq!(exact.ftc, 0, "default budget must solve every pair exactly");
-    assert_eq!(exact.ilp, 11);
-    assert_eq!(exact.rate(), 0.0);
-
-    // A starved budget degrades every pair — and with a recorder
-    // attached, the solves and the fallback warning are recorded.
-    let telemetry = mbta::Telemetry::new("golden-fallback");
-    let starved = sweep_fallback_report(
-        &engine,
-        DeploymentScenario::Scenario1,
-        Some(1),
-        Some(&telemetry),
-    )
-    .unwrap();
+    let rungs = |scenario| -> Vec<BoundSource> {
+        let partial = sweep_csv_partial(&engine, scenario).unwrap();
+        partial.solves.iter().map(|s| s.1).collect()
+    };
     assert_eq!(
-        starved.ilp, 0,
-        "a node budget of 1 must always degrade to fTC"
+        rungs(DeploymentScenario::Scenario1),
+        vec![BoundSource::Ilp; 11]
     );
-    assert_eq!(starved.ftc, 11);
-    assert_eq!(starved.rate(), 1.0);
+    let mut expected = vec![BoundSource::LpRelax; 11];
+    expected[0] = BoundSource::Ilp;
+    assert_eq!(rungs(DeploymentScenario::Scenario2), expected);
+
+    let telemetry = mbta::Telemetry::new("golden-ladder");
+    let partial = sweep_csv_partial(&engine, DeploymentScenario::Scenario2).unwrap();
+    assert_eq!(partial.csv, GOLDEN_SC2);
+    assert_eq!(
+        report_solves(&partial.solves, Some(&telemetry)),
+        "ILP-PTAC bounds: 1 ilp, 10 lp-relax, 0 fallback=ftc"
+    );
     assert_eq!(telemetry.det_counter("ilp.solves"), 11);
-    assert_eq!(telemetry.det_counter("ilp.fallback_ftc"), 11);
-    assert_eq!(telemetry.warning_count(), 1, "fallback warning recorded");
+    assert_eq!(telemetry.det_counter("ilp.lp_relax"), 10);
+    assert_eq!(telemetry.det_counter("ilp.fallback_ftc"), 0);
+    assert_eq!(
+        telemetry.warning_count(),
+        1,
+        "degraded rows are warned about"
+    );
 }

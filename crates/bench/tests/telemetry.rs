@@ -7,14 +7,14 @@
 //! Regenerate the golden after an intentional schema change with
 //! `BLESS_TELEMETRY=1 cargo test -p contention-bench --test telemetry`.
 
-use contention_bench::{sweep_csv, sweep_fallback_report};
+use contention_bench::{report_solves, sweep_csv, sweep_csv_partial};
 use mbta::{ExecEngine, Format, Telemetry, Val};
 use obs::json::{parse, Json};
 use std::sync::Arc;
 use tc27x_sim::{DeploymentScenario, Engine};
 
-/// Runs the golden Scenario 2 sweep (CSV plus fallback report) with a
-/// recorder attached, mirroring `sweep --scenario sc2 --telemetry …`,
+/// Runs the golden Scenario 2 sweep (CSV plus its ILP-PTAC solves) with
+/// a recorder attached, mirroring `sweep --scenario sc2 --telemetry …`,
 /// and returns the rendered JSONL stream.
 fn instrumented_sweep(jobs: usize, kernel: Engine) -> String {
     let telemetry = Arc::new(Telemetry::new("sweep sc2"));
@@ -22,14 +22,8 @@ fn instrumented_sweep(jobs: usize, kernel: Engine) -> String {
     let engine = ExecEngine::new(jobs)
         .with_sim_engine(kernel)
         .with_telemetry(Arc::clone(&telemetry));
-    sweep_csv(&engine, DeploymentScenario::Scenario2).unwrap();
-    sweep_fallback_report(
-        &engine,
-        DeploymentScenario::Scenario2,
-        None,
-        Some(&telemetry),
-    )
-    .unwrap();
+    let partial = sweep_csv_partial(&engine, DeploymentScenario::Scenario2).unwrap();
+    report_solves(&partial.solves, Some(&telemetry));
     telemetry.record_engine(&engine.report());
     telemetry.render(Format::Jsonl)
 }

@@ -19,6 +19,7 @@
 //!   equalities.
 
 use crate::error::ModelError;
+use crate::evaluate::{self, BoundSource};
 use crate::platform::{Operation, Platform, Target};
 use crate::profile::{AccessCounts, DebugCounters, IsolationProfile};
 use crate::scenario::ScenarioConstraints;
@@ -38,10 +39,10 @@ pub struct IlpPtacOptions {
     /// Deployment-scenario tailoring (Table 5), applied to the analysed
     /// task and — when contender constraints are on — to contenders.
     pub scenario: ScenarioConstraints,
-    /// Branch & bound node budget before falling back to the LP
+    /// Branch & bound node budget before the ladder settles on the LP
     /// relaxation. The relaxation value dominates the ILP optimum, so
-    /// the fallback bound stays sound; it is at most a fraction of a
-    /// percent looser on degenerate (symmetric-plateau) instances.
+    /// the bound stays sound; it is looser on degenerate
+    /// (symmetric-plateau) instances such as Scenario 2.
     pub node_budget: u64,
 }
 
@@ -73,15 +74,16 @@ pub struct IlpPtacSolution {
     /// Worst-case per-target mapping of the analysed task's requests.
     pub na: AccessCounts,
     /// Worst-case per-target mapping of the contender's requests (absent
-    /// in the fully time-composable variant).
+    /// in the fully time-composable variant and on the fTC rung).
     pub nb: Option<AccessCounts>,
-    /// `true` when the exact search hit its node budget and the bound is
-    /// the (sound, marginally looser) LP-relaxation value; the mappings
-    /// are then rounded witnesses rather than exact optima.
-    pub relaxed: bool,
+    /// The rung of the ladder that settled the bound. On
+    /// [`BoundSource::LpRelax`] the mappings are floored witnesses
+    /// rather than exact optima; on [`BoundSource::Ftc`] they are empty.
+    pub source: BoundSource,
     /// Branch & bound nodes the solve explored — the solver's logical
     /// clock, recorded by the telemetry layer. Equals the node budget
-    /// when the exact search was exhausted and the relaxation answered.
+    /// when the exact search was exhausted, 0 for an infeasible
+    /// formulation.
     pub nodes_explored: u64,
 }
 
@@ -239,40 +241,30 @@ impl<'p> IlpPtacModel<'p> {
         vars
     }
 
-    /// Builds and solves the ILP for one contender; returns the detailed
-    /// solution.
+    /// Bounds the contention `b` can inflict on `a` through the
+    /// degradation ladder ([`evaluate::ladder`]): the exact ILP, the LP
+    /// relaxation when the node budget runs out, fTC when the
+    /// formulation is infeasible. The solution says which rung answered.
     ///
     /// # Errors
     ///
-    /// [`ModelError::Ilp`] if the formulation is infeasible (possible
-    /// only with `strict_stall_equality`) or the solver budget runs out.
+    /// [`ModelError::Ilp`] only for an unbounded formulation, which
+    /// indicates a modelling bug rather than noisy input.
     pub fn solve_detailed(
         &self,
         a: &IsolationProfile,
         b: &IsolationProfile,
     ) -> Result<IlpPtacSolution, ModelError> {
-        self.solve_inner(a, b, true)
+        evaluate::ladder(self, a, b)
     }
 
-    /// Like [`solve_detailed`](Self::solve_detailed) but *without* the
-    /// internal LP-relaxation fallback: a blown node budget surfaces as
-    /// [`ModelError::Ilp`] with [`ilp::SolveError::BudgetExhausted`] so a
-    /// caller can degrade to a different (sound) model instead — see the
-    /// [`evaluate`](crate::evaluate) pipeline, which falls back to fTC.
-    pub fn solve_exact(
-        &self,
-        a: &IsolationProfile,
-        b: &IsolationProfile,
-    ) -> Result<IlpPtacSolution, ModelError> {
-        self.solve_inner(a, b, false)
+    /// The platform the model derives its tables from.
+    pub(crate) fn platform(&self) -> &'p Platform {
+        self.platform
     }
 
-    fn solve_inner(
-        &self,
-        a: &IsolationProfile,
-        b: &IsolationProfile,
-        relax_on_budget: bool,
-    ) -> Result<IlpPtacSolution, ModelError> {
+    /// Builds the ILP for one contender, ready for the ladder to solve.
+    pub(crate) fn formulate(&self, a: &IsolationProfile, b: &IsolationProfile) -> Formulation<'p> {
         let pairs = self.platform.paths().pairs();
         let mut p = Problem::maximize();
 
@@ -359,37 +351,38 @@ impl<'p> IlpPtacModel<'p> {
         p.set_objective(objective);
 
         p.set_node_limit(self.options.node_budget);
-        // Exact first; on a blown node budget fall back to the LP
-        // relaxation, whose value dominates the ILP optimum and is
-        // therefore still a valid contention bound. The exact path
-        // surfaces the exhaustion instead so callers can pick their own
-        // fallback (the evaluate pipeline degrades to fTC); it also
-        // demands the search finish *strictly within* the budget — a
-        // solve that spends its whole allowance counts as exhausted, so
-        // a budget of 1 is a guaranteed-fallback switch regardless of
-        // how easy the instance happens to be.
-        let (sol, relaxed, nodes_explored) = match p.solve_with_stats() {
-            Ok((s, stats)) => {
-                if !relax_on_budget && stats.nodes_explored >= self.options.node_budget {
-                    return Err(ilp::SolveError::BudgetExhausted {
-                        budget: ilp::Budget::Nodes,
-                        limit: self.options.node_budget,
-                    }
-                    .into());
-                }
-                let nodes = stats.nodes_explored;
-                (s, false, nodes)
-            }
-            Err(e @ ilp::SolveError::BudgetExhausted { .. }) => {
-                if relax_on_budget {
-                    (p.solve_relaxation()?, true, self.options.node_budget)
-                } else {
-                    return Err(e.into());
-                }
-            }
-            Err(e) => return Err(e.into()),
-        };
+        Formulation {
+            platform: self.platform,
+            problem: p,
+            pairs,
+            va,
+            vb,
+            nba,
+        }
+    }
+}
 
+/// One built ILP-PTAC instance: the problem plus the variable handles
+/// needed to read a solution back.
+pub(crate) struct Formulation<'p> {
+    platform: &'p Platform,
+    pub(crate) problem: Problem,
+    pairs: Vec<(Target, Operation)>,
+    va: TaskVars,
+    vb: Option<TaskVars>,
+    nba: Vec<Var>,
+}
+
+impl Formulation<'_> {
+    /// Reads the bound and witnesses out of an exact (`Ilp`) or relaxed
+    /// (`LpRelax`) solution of [`Self::problem`].
+    pub(crate) fn solution(
+        &self,
+        sol: &ilp::Solution,
+        source: BoundSource,
+        nodes_explored: u64,
+    ) -> IlpPtacSolution {
+        let pairs = &self.pairs;
         let value_of = |v: Var| -> u64 {
             // Exact solutions are integral; relaxation witnesses are
             // floored for reporting.
@@ -399,7 +392,7 @@ impl<'p> IlpPtacModel<'p> {
         let mut code = 0u64;
         let mut data = 0u64;
         for (i, &(t, o)) in pairs.iter().enumerate() {
-            let v = value_of(nba[i]);
+            let v = value_of(self.nba[i]);
             mapping.set(t, o, v);
             let delay = v * self.platform.latency(t, o);
             match o {
@@ -407,9 +400,9 @@ impl<'p> IlpPtacModel<'p> {
                 Operation::Data => data += delay,
             }
         }
-        // In relaxed mode the bound is the floor of the LP objective,
-        // not the (lower) value of the floored witness.
-        let (delta, code_delta, data_delta) = if relaxed {
+        // A relaxed bound is the floor of the LP objective, not the
+        // (lower) value of the floored witness.
+        let (delta, code_delta, data_delta) = if source == BoundSource::LpRelax {
             let total = sol.objective().floor() as u64;
             // Attribute the rounding remainder to the larger class so the
             // parts still sum to the total.
@@ -424,25 +417,25 @@ impl<'p> IlpPtacModel<'p> {
         };
         let read_counts = |tv: &TaskVars| {
             let mut c = AccessCounts::new();
-            for &(t, o) in &pairs {
-                if let Some(v) = tv.get(&pairs, t, o) {
+            for &(t, o) in pairs {
+                if let Some(v) = tv.get(pairs, t, o) {
                     c.set(t, o, value_of(v));
                 }
             }
             c
         };
-        Ok(IlpPtacSolution {
+        IlpPtacSolution {
             bound: ContentionBound {
                 delta_cycles: delta,
                 code_delta,
                 data_delta,
                 interference: Some(mapping),
             },
-            na: read_counts(&va),
-            nb: vb.as_ref().map(&read_counts),
-            relaxed,
+            na: read_counts(&self.va),
+            nb: self.vb.as_ref().map(read_counts),
+            source,
             nodes_explored,
-        })
+        }
     }
 }
 

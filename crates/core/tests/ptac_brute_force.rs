@@ -5,8 +5,8 @@
 //! encoding (Eqs. 9–23 + Table 5) and the exact solver at once.
 
 use contention::{
-    DebugCounters, IlpPtacModel, IlpPtacOptions, IsolationProfile, Operation, Platform,
-    ScenarioConstraints, Target,
+    BoundSource, DebugCounters, IlpPtacModel, IlpPtacOptions, IsolationProfile, Operation,
+    Platform, ScenarioConstraints, Target,
 };
 
 /// Feasible (target, op) pairs in a fixed order:
@@ -188,7 +188,11 @@ fn assert_ilp_matches_brute_force(
         },
     );
     let sol = model.solve_detailed(a, b).unwrap();
-    assert!(!sol.relaxed, "tiny instances must solve exactly");
+    assert_eq!(
+        sol.source,
+        BoundSource::Ilp,
+        "tiny instances must solve exactly"
+    );
     assert_eq!(
         sol.bound.delta_cycles, expected,
         "ILP vs brute force mismatch"

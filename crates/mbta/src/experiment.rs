@@ -3,8 +3,8 @@
 
 use crate::exec::{BatchRunner, ExecEngine, JobError, SimJob};
 use contention::{
-    ContentionModel, FtcModel, IdealModel, IlpPtacModel, IsolationProfile, ModelError, Platform,
-    ScenarioConstraints, WcetEstimate,
+    BoundSource, ContentionModel, FtcModel, IdealModel, IlpPtacModel, IsolationProfile, ModelError,
+    Platform, ScenarioConstraints, WcetEstimate,
 };
 use std::error::Error;
 use std::fmt;
@@ -82,6 +82,10 @@ pub struct Figure4Cell {
     pub ftc: WcetEstimate,
     /// ILP-PTAC estimate (Eqs. 9–23, scenario-tailored).
     pub ilp: WcetEstimate,
+    /// The ladder rung that settled the ILP-PTAC estimate.
+    pub ilp_source: BoundSource,
+    /// Branch & bound nodes the ILP-PTAC solve explored.
+    pub ilp_nodes: u64,
     /// Ideal (full-PTAC) model estimate (Eq. 1) — simulator-only input.
     pub ideal: WcetEstimate,
     /// Observed app execution time co-running against this contender.
@@ -186,10 +190,16 @@ pub fn figure4_panel_with<R: BatchRunner + ?Sized>(
     for level in LoadLevel::all() {
         let load = next_outcome(&mut outcomes).into_profile();
         let observed = next_outcome(&mut outcomes).into_observed();
+        let ilp = ilp_model.solve_detailed(&app, &load)?;
         cells.push(Figure4Cell {
             level,
             ftc: ftc_model.wcet_estimate(&app, &[&load])?,
-            ilp: ilp_model.wcet_estimate(&app, &[&load])?,
+            ilp: WcetEstimate {
+                isolation_cycles: app.counters().ccnt,
+                contention_cycles: ilp.bound.delta_cycles,
+            },
+            ilp_source: ilp.source,
+            ilp_nodes: ilp.nodes_explored,
             ideal: ideal_model.wcet_estimate(&app, &[&load])?,
             observed_cycles: observed,
         });
@@ -288,6 +298,8 @@ mod tests {
         }
         // Soundness: every bound covers the observed co-run.
         assert!(panel.all_bounds_sound());
+        // Scenario 1's ILP closes within the default node budget.
+        assert!(panel.cells.iter().all(|c| c.ilp_source == BoundSource::Ilp));
         // Ratios land in the paper's bands (±0.12).
         let h = &panel.cells[2];
         assert!((h.ftc.ratio() - 1.95).abs() < 0.12, "fTC {}", h.ftc.ratio());

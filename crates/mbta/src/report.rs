@@ -94,29 +94,27 @@ pub fn ratio(value: f64) -> String {
 }
 
 /// The reproducibility footer appended under the Figure 4 / Table 6
-/// tables: how the numbers above were obtained — ILP fallback rate,
-/// campaign retries and the engine's memo-cache hit rate. Every input
-/// is a deterministic telemetry counter, so the footer itself is
-/// byte-identical across worker counts and timing kernels.
+/// tables: how the numbers above were obtained — which rung of the
+/// ILP-PTAC ladder settled each bound, campaign retries and the
+/// engine's memo-cache hit rate. Every input is a deterministic
+/// telemetry counter, so the footer itself is byte-identical across
+/// worker counts and timing kernels.
 pub fn reproducibility_footer(telemetry: &crate::Telemetry) -> String {
     let solves = telemetry.det_counter("ilp.solves");
+    let relaxed = telemetry.det_counter("ilp.lp_relax");
     let fallbacks = telemetry.det_counter("ilp.fallback_ftc");
     let retried = telemetry.det_counter("campaign.retried");
     let hits = telemetry.det_counter("exec.cache_hits");
     let misses = telemetry.det_counter("exec.cache_misses");
-    let pct = |part: u64, whole: u64| {
-        if whole == 0 {
-            0.0
-        } else {
-            100.0 * part as f64 / whole as f64
-        }
+    let pct = if hits + misses == 0 {
+        0.0
+    } else {
+        100.0 * hits as f64 / (hits + misses) as f64
     };
     format!(
-        "reproducibility: ilp fallback {fallbacks}/{solves} ({:.0}%), \
-         retries {retried}, cache hits {hits}/{} ({:.0}%)\n",
-        pct(fallbacks, solves),
+        "reproducibility: ilp-ptac {solves} solves ({relaxed} lp-relax, {fallbacks} \
+         fallback=ftc), retries {retried}, cache hits {hits}/{} ({pct:.0}%)\n",
         hits + misses,
-        pct(hits, hits + misses),
     )
 }
 
@@ -160,13 +158,17 @@ mod tests {
     #[test]
     fn reproducibility_footer_reads_telemetry_counters() {
         let t = crate::Telemetry::new("test");
-        t.record_solve("solve:a", 10, false);
-        t.record_solve("solve:b", 20, true);
+        t.record_solve("solve:a", 10, contention::BoundSource::Ilp);
+        t.record_solve("solve:b", 20, contention::BoundSource::LpRelax);
         let footer = reproducibility_footer(&t);
-        assert!(footer.contains("ilp fallback 1/2 (50%)"), "{footer}");
+        assert!(
+            footer.contains("ilp-ptac 2 solves (1 lp-relax, 0 fallback=ftc)"),
+            "{footer}"
+        );
         assert!(footer.contains("retries 0"), "{footer}");
         // An empty recorder renders zeros, not NaNs.
         let empty = reproducibility_footer(&crate::Telemetry::new("empty"));
-        assert!(empty.contains("ilp fallback 0/0 (0%)"), "{empty}");
+        assert!(empty.contains("ilp-ptac 0 solves"), "{empty}");
+        assert!(empty.contains("cache hits 0/0 (0%)"), "{empty}");
     }
 }

@@ -30,6 +30,7 @@
 
 use crate::exec::{EngineReport, SimJob};
 use crate::CampaignStats;
+use contention::BoundSource;
 use obs::{span_id, MatrixRec, SpanRec, Stream, Warning};
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -61,7 +62,7 @@ struct JobRec {
 struct SolveRec {
     label: String,
     nodes: u64,
-    fallback: bool,
+    source: BoundSource,
 }
 
 #[derive(Debug, Default)]
@@ -283,20 +284,24 @@ impl Telemetry {
         lock(&self.inner).det.add("exec.failed_jobs", 1);
     }
 
-    /// Records one ILP solve: `nodes` branch & bound nodes explored,
-    /// `fallback` when the bound degraded to fTC. Called from the
-    /// single-threaded evaluation loop, so call order is deterministic.
-    pub fn record_solve(&self, label: impl Into<String>, nodes: u64, fallback: bool) {
+    /// Records one ILP-PTAC solve: `nodes` branch & bound nodes
+    /// explored, `source` the ladder rung that settled the bound
+    /// (counted as `ilp.lp_relax` / `ilp.fallback_ftc` when below the
+    /// exact ILP). Called from the single-threaded evaluation loop, so
+    /// call order is deterministic.
+    pub fn record_solve(&self, label: impl Into<String>, nodes: u64, source: BoundSource) {
         let mut inner = lock(&self.inner);
         inner.det.add("ilp.solves", 1);
-        if fallback {
-            inner.det.add("ilp.fallback_ftc", 1);
+        match source {
+            BoundSource::Ilp => {}
+            BoundSource::LpRelax => inner.det.add("ilp.lp_relax", 1),
+            BoundSource::Ftc => inner.det.add("ilp.fallback_ftc", 1),
         }
         inner.det.observe("ilp.nodes", nodes);
         inner.solves.push(SolveRec {
             label: label.into(),
             nodes,
-            fallback,
+            source,
         });
     }
 
@@ -348,7 +353,7 @@ impl Telemetry {
     }
 
     /// Records a warning without printing (for diagnostics whose stderr
-    /// rendering the caller owns, e.g. the fallback-rate report line).
+    /// rendering the caller owns, e.g. the ILP-PTAC bounds summary line).
     /// Returns `true` when this was the code's first occurrence.
     pub fn warn_quiet(&self, code: &str, message: impl Into<String>) -> bool {
         let mut inner = lock(&self.inner);
@@ -471,7 +476,7 @@ impl Telemetry {
                     s.nodes,
                 )
                 .with_arg("kind", Val::str("solve"))
-                .with_arg("fallback", Val::Bool(s.fallback)),
+                .with_arg("source", Val::str(s.source.tag())),
             );
             solve_cursor = solve_cursor.saturating_add(s.nodes.max(1));
         }
@@ -555,7 +560,7 @@ mod tests {
             let t = Telemetry::new("test");
             for &k in order {
                 t.record_job(k, &iso_job(k), 10 * k, None);
-                t.record_solve("solve:x", 50, false);
+                t.record_solve("solve:x", 50, BoundSource::Ilp);
             }
             t.to_stream()
         };
@@ -651,11 +656,13 @@ mod tests {
     }
 
     #[test]
-    fn solves_and_fallbacks_are_counted() {
+    fn solves_are_counted_per_rung() {
         let t = Telemetry::new("test");
-        t.record_solve("solve:ilp:a-vs-b", 1000, false);
-        t.record_solve("solve:ilp:a-vs-c", 500_000, true);
-        assert_eq!(t.det_counter("ilp.solves"), 2);
+        t.record_solve("solve:ilp:a-vs-b", 1000, BoundSource::Ilp);
+        t.record_solve("solve:ilp:a-vs-c", 500_000, BoundSource::LpRelax);
+        t.record_solve("solve:ilp:a-vs-d", 0, BoundSource::Ftc);
+        assert_eq!(t.det_counter("ilp.solves"), 3);
+        assert_eq!(t.det_counter("ilp.lp_relax"), 1);
         assert_eq!(t.det_counter("ilp.fallback_ftc"), 1);
         let stream = t.to_stream();
         let solver_spans: Vec<_> = stream
@@ -663,7 +670,7 @@ mod tests {
             .iter()
             .filter(|s| s.track == SOLVER_TRACK)
             .collect();
-        assert_eq!(solver_spans.len(), 2);
+        assert_eq!(solver_spans.len(), 3);
         assert_eq!(solver_spans[1].start, 1000, "cumulative node timeline");
     }
 

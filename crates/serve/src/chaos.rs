@@ -120,7 +120,8 @@ const LEVELS: [LoadLevel; 3] = [LoadLevel::High, LoadLevel::Medium, LoadLevel::L
 
 /// Draws a well-formed request from the small semantic pool the oracle
 /// precomputes. Budgets come from a fixed menu so the degradation
-/// ladder is exercised (including budget 1 = guaranteed fallback).
+/// ladder is exercised (budget 1 settles every Scenario 2 bound on the
+/// LP relaxation; Scenario 1 and low-traffic bounds close at the root).
 fn draw_request(rng: &mut SplitMix64, n: u64) -> Request {
     let scenario = SCENARIOS[rng.below(3) as usize];
     let level = LEVELS[rng.below(3) as usize];

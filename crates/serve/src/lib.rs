@@ -14,11 +14,12 @@
 //!    `Overloaded{retry_after_ms}` rejections instead of unbounded
 //!    buffering.
 //! 2. **Deadline-driven graceful degradation** ([`query`]) — each
-//!    request carries a solve budget; the server walks the
-//!    deterministic ladder exact ILP → warm fTC fallback (the
-//!    `SolveError::BudgetExhausted` plumbing behind
-//!    [`contention::Evaluator`]) and tags every response with its
-//!    provenance, so a degraded answer is never silent.
+//!    request carries a solve budget; the server walks the same
+//!    deterministic ILP-PTAC ladder as the CLI and the artefact sweeps
+//!    (exact ILP → LP relaxation when the budget runs out → fTC when
+//!    the formulation is infeasible, [`contention::evaluate::ladder`])
+//!    and tags every response with its provenance, so a degraded
+//!    answer is never silent.
 //! 3. **Crash recovery** ([`server`]) — responses and isolation
 //!    profiles flow through two content-addressed persistent stores
 //!    ([`mbta::Store`], the journal discipline generalized), keyed by

@@ -9,16 +9,18 @@
 //!
 //! Deadline-driven degradation lives here too. A request's `budget`
 //! caps the ILP's branch-and-bound node count — the solver's
-//! deterministic logical clock — and when it runs out the
-//! [`contention::Evaluator`] ladder degrades to the warm fTC bound.
-//! Every body carries a `provenance` tag (`ilp` / `fallback=ftc`), so
-//! a degraded answer is visible to the caller, never silent.
+//! deterministic logical clock — and the [`contention::Evaluator`]
+//! walks the same ILP-PTAC ladder as the CLI and the artefact sweeps:
+//! the exact ILP, its LP relaxation when the budget runs out, and the
+//! fTC bound when the formulation is infeasible. Every body carries a
+//! `provenance` tag (`ilp` / `lp-relax` / `fallback=ftc`), so a
+//! degraded answer is visible to the caller, never silent.
 
 use crate::proto::{level_token, scenario_token, QueryKind, Request};
 use contention::rta::{self, PeriodicTask};
 use contention::{
-    ContentionModel, EvalOptions, Evaluator, FtcModel, Platform, ValidationPolicy, Validator,
-    WcetEstimate,
+    BoundSource, ContentionModel, EvalOptions, Evaluator, FtcModel, Platform, ValidationPolicy,
+    Validator, WcetEstimate,
 };
 use mbta::{constraints_for, job_key_on, ExecEngine, SimJob};
 use obs::json::Val;
@@ -39,8 +41,9 @@ pub struct QueryOptions {
 pub struct Answer {
     /// Canonical `{"status":"ok",…}` JSON body (identity-free).
     pub body: String,
-    /// `true` when the bound came from the fTC fallback.
-    pub fallback: bool,
+    /// The ladder rung that settled the bound (`None` for answers
+    /// without one, such as `ping`).
+    pub source: Option<BoundSource>,
     /// `true` when an input profile needed repair.
     pub repaired: bool,
     /// Isolation profiles produced on the way, keyed by engine job
@@ -90,7 +93,7 @@ impl<'e> QueryEngine<'e> {
                     ("kind".to_string(), Val::str("ping")),
                 ])
                 .to_json(),
-                fallback: false,
+                source: None,
                 repaired: false,
                 profiles: Vec::new(),
             }),
@@ -235,7 +238,7 @@ impl<'e> QueryEngine<'e> {
         }
         Ok(Answer {
             body: Val::Obj(pairs).to_json(),
-            fallback: evaluated.source.is_fallback(),
+            source: Some(evaluated.source),
             repaired: evaluated.any_repairs(),
             profiles,
         })
@@ -297,7 +300,7 @@ impl<'e> QueryEngine<'e> {
         .to_json();
         Ok(Answer {
             body,
-            fallback: evaluated.source.is_fallback(),
+            source: Some(evaluated.source),
             repaired: ra.repaired || rb.repaired || evaluated.any_repairs(),
             profiles,
         })
@@ -351,7 +354,7 @@ mod tests {
         let e = engine();
         let r = req(
             QueryKind::Bound {
-                scenario: DeploymentScenario::LowTraffic,
+                scenario: DeploymentScenario::Scenario2,
                 level: LoadLevel::Low,
             },
             Some(1),
@@ -359,8 +362,13 @@ mod tests {
         let a = QueryEngine::new(&e, QueryOptions::default())
             .answer(&r)
             .unwrap();
-        assert!(a.fallback, "node budget 1 must exhaust the ILP");
-        assert!(a.body.contains("\"provenance\":\"fallback=ftc\""));
+        assert_eq!(
+            a.source,
+            Some(BoundSource::LpRelax),
+            "node budget 1 cannot close Scenario 2's ILP"
+        );
+        assert!(a.body.contains("\"provenance\":\"lp-relax\""));
+        assert!(a.body.contains("\"nodes_explored\":1,"));
     }
 
     #[test]

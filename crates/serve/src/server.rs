@@ -34,6 +34,7 @@ use crate::proto::{
     read_frame, render_error, render_overloaded, splice_identity, write_frame, FrameError, Request,
 };
 use crate::query::{QueryEngine, QueryOptions};
+use contention::BoundSource;
 use mbta::{ExecEngine, Store, Telemetry};
 use obs::json::Val;
 use std::collections::BTreeMap;
@@ -51,13 +52,14 @@ use std::time::Duration;
 /// of how the daemon is redeployed. (It does *not* need to encode
 /// `--default-budget`: request fingerprints are taken over the
 /// *effective* budget, resolved at ingress, so entries computed under
-/// one default are never replayed for another.) v2 marks that keying
-/// change — v1 stores keyed budget-less requests before resolution.
-const STORE_CONFIG: &str = "contention-serve/v2";
+/// one default are never replayed for another.) v2 marked that keying
+/// change; v3 marks the single ILP-PTAC ladder, which answers a blown
+/// budget with the LP relaxation where v2 bodies carry fTC.
+const STORE_CONFIG: &str = "contention-serve/v3";
 
 /// Store fingerprint, bound to the platform the daemon simulates. The
 /// default (paper TC27x) keeps the bare `STORE_CONFIG` hash, so every
-/// existing store replays; any other description is folded in, so a
+/// store written under it replays; any other description is folded in, so a
 /// daemon restarted onto a different machine model refuses to replay
 /// bodies computed for the old one.
 fn store_config_fp(desc: &platform::PlatformDesc) -> u64 {
@@ -155,6 +157,7 @@ struct Counters {
     /// makes the response-store hit rate derivable from one stats
     /// snapshot.
     cache_misses: AtomicU64,
+    lp_relax: AtomicU64,
     fallback: AtomicU64,
     repaired: AtomicU64,
     errors: AtomicU64,
@@ -255,6 +258,7 @@ impl Server {
                 served: AtomicU64::new(0),
                 cache_hits: AtomicU64::new(0),
                 cache_misses: AtomicU64::new(0),
+                lp_relax: AtomicU64::new(0),
                 fallback: AtomicU64::new(0),
                 repaired: AtomicU64::new(0),
                 errors: AtomicU64::new(0),
@@ -585,6 +589,10 @@ fn handle_control(inner: &Arc<Inner>, writer: &Arc<Mutex<Box<dyn ConnWriter>>>, 
                     )),
                 ),
                 (
+                    "lp_relax".to_string(),
+                    Val::U64(c.lp_relax.load(Ordering::Relaxed)),
+                ),
+                (
                     "fallback".to_string(),
                     Val::U64(c.fallback.load(Ordering::Relaxed)),
                 ),
@@ -677,9 +685,16 @@ fn worker_loop(inner: &Arc<Inner>) {
                     .lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .insert(fingerprint, answer.body.clone());
-                if answer.fallback {
-                    inner.counters.fallback.fetch_add(1, Ordering::Relaxed);
-                    inner.count("serve.fallback", 1);
+                match answer.source {
+                    Some(BoundSource::LpRelax) => {
+                        inner.counters.lp_relax.fetch_add(1, Ordering::Relaxed);
+                        inner.count("serve.lp_relax", 1);
+                    }
+                    Some(BoundSource::Ftc) => {
+                        inner.counters.fallback.fetch_add(1, Ordering::Relaxed);
+                        inner.count("serve.fallback", 1);
+                    }
+                    _ => {}
                 }
                 if answer.repaired {
                     inner.counters.repaired.fetch_add(1, Ordering::Relaxed);

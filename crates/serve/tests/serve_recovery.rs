@@ -73,10 +73,10 @@ fn batch() -> Vec<Request> {
         mk(
             1,
             QueryKind::Bound {
-                scenario: DeploymentScenario::LowTraffic,
-                level: LoadLevel::Medium,
+                scenario: DeploymentScenario::Scenario2,
+                level: LoadLevel::Low,
             },
-            Some(1), // guaranteed ILP exhaustion → fallback provenance
+            Some(1), // Scenario 2 cannot close at the root → lp-relax provenance
         ),
         mk(
             2,
@@ -114,7 +114,7 @@ fn restart_replays_byte_identical_at_different_worker_count() {
     let (server_a, addr_a) = server_on(&dir, 2, 2, 64);
     let first = drive(&addr_a, &reqs);
     assert!(
-        first[1].contains("\"provenance\":\"fallback=ftc\""),
+        first[1].contains("\"provenance\":\"lp-relax\""),
         "budget-1 answer must be tagged as degraded: {}",
         first[1]
     );
@@ -190,14 +190,14 @@ fn restart_with_new_default_budget_never_replays_stale_bodies() {
         id: "d0".to_string(),
         tenant: "alpha".to_string(),
         kind: QueryKind::Bound {
-            scenario: DeploymentScenario::LowTraffic,
+            scenario: DeploymentScenario::Scenario2,
             level: LoadLevel::Low,
         },
         budget: None,
         strict: false,
     }];
-    // First run: default budget 1 forces every budget-less request
-    // onto the fallback rung.
+    // First run: default budget 1 settles every budget-less Scenario 2
+    // request on the LP relaxation after a single node.
     let (server_a, addr_a) = server_with(
         &dir,
         2,
@@ -209,8 +209,9 @@ fn restart_with_new_default_budget_never_replays_stale_bodies() {
     );
     let first = drive(&addr_a, &reqs);
     assert!(
-        first[0].contains("\"provenance\":\"fallback=ftc\""),
-        "default budget 1 must degrade: {}",
+        first[0].contains("\"provenance\":\"lp-relax\"")
+            && first[0].contains("\"nodes_explored\":1,"),
+        "default budget 1 must degrade after one node: {}",
         first[0]
     );
     server_a.trigger_shutdown();
@@ -218,12 +219,12 @@ fn restart_with_new_default_budget_never_replays_stale_bodies() {
 
     // Second run, no default: the same budget-less request must be
     // *recomputed* under the scenario default — replaying the stored
-    // body computed under default 1 would silently serve a degraded
-    // bound with the wrong provenance.
+    // body computed under default 1 would silently serve a body whose
+    // provenance names the wrong budget.
     let (server_b, addr_b) = server_with(&dir, 2, 2, 64, QueryOptions::default());
     let second = drive(&addr_b, &reqs);
     assert!(
-        second[0].contains("\"provenance\":\"ilp\""),
+        second[0].contains("\"nodes_explored\":128,"),
         "restart with a different default budget must not replay stale bodies: {}",
         second[0]
     );

@@ -18,8 +18,12 @@
 //! pipeline: `--strict` rejects counter profiles that violate a
 //! platform invariant, `--repair` (the default) clamps them and warns,
 //! and `--ilp-budget N` caps the ILP solver at `N` branch-and-bound
-//! nodes — when the budget runs out, `bound --model ilp` degrades to
-//! the sound fTC bound and tags the output `fallback=ftc`.
+//! nodes. `bound --model ilp` answers through the ILP-PTAC ladder and
+//! tags its output with the rung that settled the bound: `ilp` (the
+//! exact optimum), `lp-relax` (the LP relaxation, once the budget runs
+//! out) or `fallback=ftc` (the fTC bound, for an infeasible
+//! formulation). The sweep, Figure 4 and the serving daemon use the
+//! same ladder, so one question gets one answer everywhere.
 //!
 //! Finally, `--journal <file>` records every completed simulation to a
 //! crash-safe write-ahead journal, `--resume <file>` replays a journal
@@ -478,8 +482,10 @@ GLOBAL OPTIONS:
                                     (default)
     --ilp-budget N                  branch-and-bound node budget for the ILP
                                     solver; on exhaustion `bound --model ilp`
-                                    degrades to the sound fTC bound and tags
-                                    the output `fallback=ftc`
+                                    answers with the sound LP relaxation and
+                                    tags the output `lp-relax` (`ilp` when
+                                    the search closes, `fallback=ftc` when
+                                    the formulation is infeasible)
     --engine tick|event             simulator timing kernel (default: event).
                                     `event` skips provably quiescent cycles;
                                     `tick` is the reference per-cycle stepper.
@@ -738,8 +744,9 @@ pub fn run_with_telemetry(
             match model {
                 ModelChoice::Ilp => {
                     // The fault-tolerant pipeline: validate under the
-                    // configured policy, solve the ILP exactly within
-                    // its node budget, degrade to fTC when it runs out.
+                    // configured policy, then the ILP-PTAC ladder (exact
+                    // ILP, LP relaxation on a blown budget, fTC if
+                    // infeasible).
                     let mut options = EvalOptions::for_scenario(mbta::constraints_for(scenario));
                     options.policy = settings.policy;
                     if let Some(budget) = settings.ilp_budget {
@@ -755,7 +762,7 @@ pub fn run_with_telemetry(
                         t.record_solve(
                             format!("solve:{scenario}-{level}"),
                             evaluated.nodes_explored,
-                            evaluated.source.is_fallback(),
+                            evaluated.source,
                         );
                     }
                     let est = WcetEstimate {

@@ -5,7 +5,7 @@
 //! each case index is a deterministic reproducer.
 
 use contention::{
-    AccessCounts, ContentionModel, DebugCounters, FtcModel, IdealModel, IlpPtacModel,
+    AccessCounts, BoundSource, ContentionModel, DebugCounters, FtcModel, IdealModel, IlpPtacModel,
     IsolationProfile, Operation, Platform, ScenarioConstraints, Target,
 };
 use tc27x_sim::rng::SplitMix64;
@@ -155,8 +155,8 @@ fn ilp_witness_satisfies_constraints() {
         let b = consistent_profile(&mut rng, "b");
         let model = IlpPtacModel::new(&platform, ScenarioConstraints::unconstrained());
         let sol = model.solve_detailed(&a, &b).unwrap();
-        if sol.relaxed {
-            // Rounded witnesses of the LP fallback are only approximate.
+        if sol.source != BoundSource::Ilp {
+            // Floored witnesses of the LP relaxation are only approximate.
             continue;
         }
         let mapping = sol.bound.interference.as_ref().unwrap();
